@@ -116,11 +116,11 @@ func BenchmarkOptimizeN512FCFS(b *testing.B)   { benchOptimize(b, 512, queueing.
 // The N10k series is the ROADMAP's "well under a second" target and is
 // gated in CI with an absolute time budget via bladebench -budget. ---
 
-// benchOptimizeSparse solves a clustered fleet with the sparse path.
-// The station mix reuses benchOptimize's signature pattern (56 distinct
+// benchFleet is the clustered fleet of the fleet-scale benchmarks. The
+// station mix reuses benchOptimize's signature pattern (56 distinct
 // (size, speed) classes), so class clustering does real work without
 // being degenerate: ~180 stations per class at n=10,000.
-func benchOptimizeSparse(b *testing.B, n int, d queueing.Discipline, frac, rhoCap float64) {
+func benchFleet(b *testing.B, n int) *model.Group {
 	b.Helper()
 	sizes := make([]int, n)
 	speeds := make([]float64, n)
@@ -132,6 +132,13 @@ func benchOptimizeSparse(b *testing.B, n int, d queueing.Discipline, frac, rhoCa
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g
+}
+
+// benchOptimizeSparse solves benchFleet with the sparse path.
+func benchOptimizeSparse(b *testing.B, n int, d queueing.Discipline, frac, rhoCap float64) {
+	b.Helper()
+	g := benchFleet(b, n)
 	lambda := frac * g.MaxGenericRate()
 	opts := core.Options{Discipline: d, Sparse: true, CompactResult: true, MaxUtilization: rhoCap}
 	b.ReportAllocs()
