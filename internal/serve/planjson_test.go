@@ -68,6 +68,13 @@ func checkGolden(t *testing.T, code int, got []byte, name string) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, got)
 	}
+	checkGoldenBytes(t, got, name)
+}
+
+// checkGoldenBytes compares got with testdata/name, rewriting the file
+// first under -update.
+func checkGoldenBytes(t *testing.T, got []byte, name string) {
+	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
