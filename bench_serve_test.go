@@ -165,6 +165,106 @@ func BenchmarkServePlanGetN10k(b *testing.B) {
 	}
 }
 
+// benchEnvelopeServer is the paper's Example 1 at half saturation with
+// an hour-long estimation window, so the estimator stays cold and no
+// request is shed: every request takes the full routing path.
+func benchEnvelopeServer(b *testing.B) *serve.Server {
+	b.Helper()
+	g := model.LiExample1Group()
+	s, err := serve.New(serve.Config{
+		Group:  g,
+		Lambda: 0.5 * g.MaxGenericRate(),
+		Window: time.Hour,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	return s
+}
+
+// BenchmarkServeHandler is the in-process rung of the serving ladder:
+// one request through Server.Handler().ServeHTTP on a single
+// goroutine, with a reused request, a replayed body and a discarding
+// ResponseWriter, so ns/op and allocs/op are the daemon's own HTTP
+// envelope around Decide (routing, in-flight bound, body read and
+// decode, response encoding). BenchmarkDispatchParallel is the rung
+// below it, BenchmarkServeLoopback the one above.
+func BenchmarkServeHandler(b *testing.B) {
+	for _, bc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"dispatch", "/v1/dispatch", "", http.StatusOK},
+		{"batch8", "/v1/dispatch/batch", `{"count":8}`, http.StatusOK},
+		{"observe", "/v1/observe", `{"station":0,"outcome":"success","latency_seconds":0.001}`, http.StatusAccepted},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := benchEnvelopeServer(b).Handler()
+			body := &replayBody{b: []byte(bc.body)}
+			req := httptest.NewRequest(http.MethodPost, bc.path, nil)
+			req.Body, req.ContentLength = body, int64(len(bc.body))
+			w := &discardResponse{header: make(http.Header)}
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body.off = 0
+				clear(w.header)
+				w.status, w.bytes = 0, 0
+				h.ServeHTTP(w, req)
+				if w.status != bc.want {
+					b.Fatalf("POST %s: status %d, want %d", bc.path, w.status, bc.want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeLoopback is the loopback rung: POST /v1/dispatch from a
+// keep-alive net/http client to the daemon's handler behind
+// httptest.NewServer, so ns/op adds both sides of the HTTP/1.1
+// transport over the loopback interface to BenchmarkServeHandler.
+func BenchmarkServeLoopback(b *testing.B) {
+	srv := httptest.NewServer(benchEnvelopeServer(b).Handler())
+	defer srv.Close()
+	client := srv.Client()
+	url := srv.URL + "/v1/dispatch"
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(url, "application/json", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("POST /v1/dispatch: status %d, read error %v", resp.StatusCode, err)
+		}
+	}
+}
+
+// replayBody is a request body that rewinds by resetting off, so a
+// benchmark can send one request repeatedly without allocating.
+type replayBody struct {
+	b   []byte
+	off int
+}
+
+func (r *replayBody) Read(p []byte) (int, error) {
+	if r.off >= len(r.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *replayBody) Close() error { return nil }
+
 // discardResponse is a ResponseWriter that keeps only the status and
 // the body length, so the benchmark times the handler, not a recorder
 // growing a copy of the body.
