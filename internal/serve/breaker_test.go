@@ -175,6 +175,49 @@ func TestBreakerRecoversThroughTrialAndRampsIn(t *testing.T) {
 	}
 }
 
+// TestRampCompleteResolvesInsideRateLimit is the regression test for a
+// plan that kept a recovery ramp cap forever: the last ramp refresh
+// solves within MinResolveInterval of the scan that sees the ramp
+// window end, and nothing re-triggers the ramp-complete re-solve once
+// rampStart is cleared. The re-solve must go through regardless.
+func TestRampCompleteResolvesInsideRateLimit(t *testing.T) {
+	clk := newFakeClock()
+	s := newBreakerTestServer(t, clk, func(c *Config) {
+		c.Breaker.PhiThreshold = 1e9 // the fake clock's jumps are not silence
+		c.MinResolveInterval = time.Second
+	})
+	tripStation(t, s, clk, 0, 12)
+	waitPlanVersion(t, s, 2)
+	clk.Advance(s.cfg.Breaker.OpenInterval + time.Second)
+	s.healthScan(clk.Now())
+	for i := 0; i < s.cfg.Breaker.TrialSuccesses; i++ {
+		clk.Advance(time.Millisecond)
+		s.recordOutcome(0, OutcomeSuccess, 0.001)
+	}
+	s.healthScan(clk.Now())
+	if got := s.breakers.stations[0].state.Load(); got != breakerClosed {
+		t.Fatalf("breaker %s after trial successes, want closed", breakerStateNames[got])
+	}
+	waitPlanVersion(t, s, 3)
+
+	// A ramp refresh half a second before the window ends…
+	clk.Advance(s.cfg.Breaker.RampWindow - 500*time.Millisecond)
+	s.healthScan(clk.Now())
+	if p := waitPlanVersion(t, s, 4); p.Ramp == nil || p.Ramp[0] >= 1 {
+		t.Fatalf("ramp refresh plan has no cap: ramp %v", p.Ramp)
+	}
+	// …then the scan past the window, 0.6 s later: inside the rate limit.
+	clk.Advance(600 * time.Millisecond)
+	s.healthScan(clk.Now())
+	for i := 0; i < 5; i++ {
+		clk.Advance(10 * time.Second)
+		s.healthScan(clk.Now())
+	}
+	if p := waitPlanVersion(t, s, 5); p.Ramp != nil {
+		t.Fatalf("plan v%d still caps the recovered station: ramp %v", p.Version, p.Ramp)
+	}
+}
+
 func TestBreakerReopensWithExponentialBackoff(t *testing.T) {
 	clk := newFakeClock()
 	s := newBreakerTestServer(t, clk, nil)
