@@ -329,6 +329,38 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestShedResolveKeepsDemand checks that a re-solve on a cold
+// estimator solves for the demand the live plan was asked to carry —
+// its admitted rate plus what it shed — not only the admitted part.
+// Otherwise every shedding re-solve lowers the plan's λ′ for good: a
+// station downed and brought back leaves the plan solved for the
+// smaller degraded capacity, and at a low enough λ′ the optimum gives
+// slow stations no load at all.
+func TestShedResolveKeepsDemand(t *testing.T) {
+	g := model.LiExample1Group()
+	demand := 1.2 * g.MaxGenericRate()
+	s := newTestServer(t, func(c *Config) { c.Lambda = demand })
+	start := s.Plan()
+	if start.Shed <= 0 {
+		t.Fatal("test premise: startup plan must shed")
+	}
+	h := s.Handler()
+	for v, up := range []bool{false, true} {
+		if w := postJSON(t, h, "/v1/health", map[string]any{"station": 6, "up": up}); w.Code != http.StatusAccepted {
+			t.Fatalf("health post status %d: %s", w.Code, w.Body)
+		}
+		waitPlanVersion(t, s, int64(v+2))
+	}
+	p := s.Plan()
+	if got := p.Lambda + p.Shed; math.Abs(got-demand) > 1e-9*demand {
+		t.Errorf("plan v%d solved for λ′ %.6g + shed %.6g = %.6g, want the demand %.6g",
+			p.Version, p.Lambda, p.Shed, got, demand)
+	}
+	if math.Abs(p.Lambda-start.Lambda) > 1e-9*start.Lambda {
+		t.Errorf("plan v%d admits %.6g with every station back up, startup admitted %.6g", p.Version, p.Lambda, start.Lambda)
+	}
+}
+
 func TestDispatchConcurrencyLimit(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxInFlight = 1 })
 	// Saturate the single slot with a request parked in the handler by
