@@ -325,8 +325,7 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Count int `json:"count"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !s.decodeBounded(w, r, &req) {
 		return
 	}
 	if req.Count < 1 || req.Count > maxBatchRequest {
@@ -353,5 +352,5 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 			"overloaded: all %d decisions shed", req.Count)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(w, http.StatusOK, appendBatchJSON(make([]byte, 0, 64+8*len(resp.Stations)), &resp), nil)
 }

@@ -14,7 +14,9 @@ import (
 // being a pure router: Server.Dispatch (and POST /v1/dispatch) run the
 // call through the guard — per-attempt timeouts, budgeted retries with
 // decorrelated-jitter backoff, optional hedging — and every attempt's
-// outcome feeds the failure detector.
+// outcome feeds the failure detector. A Backend must return once ctx
+// is done: the attempt timeout and the request's RequestTimeout reach
+// it only through ctx.
 type Backend func(ctx context.Context, station int) error
 
 // ErrShed reports that admission control rejected the request before
