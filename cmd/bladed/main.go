@@ -81,9 +81,7 @@ func run(args []string, ready chan<- string) error {
 	sampleD := fs.Int("d", 2, "stations sampled per request by -policy jsqd (2-4)")
 	seed := fs.Int64("seed", 0, "dispatch RNG seed (0 means 1)")
 	deterministic := fs.Bool("deterministic-rng", false,
-		"serialize dispatch draws through one seeded RNG so -seed reproduces the routing sequence")
-	serialized := fs.Bool("serialized", false,
-		"run the fully mutex-serialized request path (contention baseline; not for production)")
+		"draw every dispatch variate from one SplitMix64 stream seeded by -seed, so one client reproduces the routing sequence")
 	backendDelay := fs.Duration("backend-delay", 0,
 		"simulate executing each request with this per-call service time; enables the guarded dispatch wrapper")
 	faultAdmin := fs.Bool("fault-admin", false,
@@ -186,7 +184,6 @@ func run(args []string, ready chan<- string) error {
 		Logger:             logger,
 		Seed:               *seed,
 		DeterministicRNG:   *deterministic,
-		SerializedHotPath:  *serialized,
 		Policy:             dispatchPolicy,
 		SampleD:            jsqD,
 		BatchMax:           *batchMax,

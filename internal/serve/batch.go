@@ -40,7 +40,8 @@ const maxBatchRequest = 4096
 //     IDENTICAL to len(dst) sequential Decide calls, draw for draw
 //     (pinned by TestDecideBatchDeterministicSequence): the
 //     deterministic generator forces the per-decision exact path, which
-//     replays Decide's draw order precisely.
+//     replays Decide's draw order precisely, and the per-chunk word
+//     never comes from the seeded stream.
 //   - On the lock-free fast path the picks are distributed identically
 //     (same variate lattice, same cumulative walk) but come from batch
 //     word streams; JSQ(d) picks score against a per-chunk depth
@@ -54,14 +55,6 @@ const maxBatchRequest = 4096
 //bladelint:hotpath
 func (s *Server) DecideBatch(dst []Decision) {
 	if len(dst) == 0 {
-		return
-	}
-	if s.fastEst == nil {
-		// SerializedHotPath: the mutex-serialized baseline has no
-		// amortizable structure — run it per decision.
-		for i := range dst {
-			dst[i] = s.decideSerialized()
-		}
 		return
 	}
 	for len(dst) > batchChunk {
@@ -78,17 +71,20 @@ func (s *Server) decideChunk(dst []Decision) {
 	k := len(dst)
 	start := s.now()
 	// One per-batch word: estimator shard, RNG shard and redirect
-	// redraws consume its slices once per chunk (randbits.go).
+	// redraws consume its slices once per chunk (randbits.go). It comes
+	// from the per-thread generator even under DeterministicRNG: a word
+	// taken from the seeded stream here would shift the batched
+	// sequence one word per chunk against the sequential one.
 	u0 := randv2.Uint64()
 	// The amortized estimator bump: one epoch check and one fixed-point
 	// add of k on a single shard, in place of k independent bumps.
-	s.fastEst.observeAtShard(start, float64(k), u0)
+	s.est.observeAtShard(start, float64(k), u0)
 	plan := s.plan.Load()
-	rate := s.fastEst.RateAt(start)
-	warm := s.fastEst.WarmAt(start)
+	rate := s.est.RateAt(start)
+	warm := s.est.WarmAt(start)
 	admit, reason := s.admission(plan, rate, warm)
 	s.driftCheck(plan, rate, warm)
-	if s.fastRnd == nil || admit < 1 || s.breakers.trial.Load() >= 0 {
+	if s.rnd.deterministic || admit < 1 || s.breakers.trial.Load() >= 0 {
 		// DeterministicRNG, admission shedding, or a posted breaker
 		// trial: each decision must consume randomness exactly as Decide
 		// does, so the chunk runs per decision (still sharing the chunk's
@@ -100,7 +96,7 @@ func (s *Server) decideChunk(dst []Decision) {
 	// Fast path: one per-decision word per slot from a single shard's
 	// SplitMix64 stream (one atomic add reserves the whole span).
 	var ws [batchChunk]uint64
-	s.fastRnd.fillU(u0>>randPickShardShift, ws[:k])
+	s.rnd.fillU(u0>>randPickShardShift, ws[:k])
 	var picks [batchChunk]int32
 	if plan.jsq != nil {
 		var sb [batchChunk]uint64
@@ -112,7 +108,7 @@ func (s *Server) decideChunk(dst []Decision) {
 			// d > 2 needs more sample bits than w_j has clear of the
 			// gate slice: a second stream word per decision, consumed
 			// whole — the batch analogue of jsqBits' dedicated word.
-			s.fastRnd.fillU(u0>>randPickShardShift, sb[:k])
+			s.rnd.fillU(u0>>randPickShardShift, sb[:k])
 		}
 		plan.jsq.PickBatch(sb[:k], picks[:k])
 	} else {
@@ -142,7 +138,7 @@ func (s *Server) decideChunk(dst []Decision) {
 	// chosen station for the per-station counter and (router-mode JSQ)
 	// the depth counter — a chunk touching s stations costs O(s) atomic
 	// adds, not O(k).
-	s.fastM.countDispatchN(int64(k))
+	s.m.countDispatchN(int64(k))
 	var stA [batchChunk]int32
 	var ctA [batchChunk]int32
 	na := 0
@@ -163,13 +159,13 @@ func (s *Server) decideChunk(dst []Decision) {
 	}
 	router := s.depths != nil && s.backend == nil
 	for i := 0; i < na; i++ {
-		s.fastM.countStationN(int(stA[i]), int64(ctA[i]))
+		s.m.countStationN(int(stA[i]), int64(ctA[i]))
 		if router {
 			s.depths.incN(int(stA[i]), int64(ctA[i]))
 		}
 	}
 	if gates > 0 {
-		s.fastM.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
+		s.m.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
 	}
 }
 
@@ -183,9 +179,9 @@ func (s *Server) decideChunk(dst []Decision) {
 func (s *Server) decideChunkExact(dst []Decision, start time.Time, plan *Plan, rate, admit float64, reason rejectReason) {
 	gates := 0
 	for j := range dst {
-		u := randv2.Uint64()
+		u := s.rnd.word()
 		if admit < 1 && s.rnd.Float64() >= admit {
-			s.fastM.reject(reason)
+			s.m.reject(reason)
 			dst[j] = Decision{Station: -1, Plan: plan, Rate: rate,
 				Rejected: true, Reason: rejectReasonNames[reason]}
 			continue
@@ -195,13 +191,7 @@ func (s *Server) decideChunkExact(dst []Decision, start time.Time, plan *Plan, r
 			if plan.jsq != nil {
 				station = plan.jsq.PickU(s.jsqBits(u))
 			} else {
-				var draw float64
-				if s.fastRnd != nil {
-					draw = s.fastRnd.float64U(u >> randPickShardShift)
-				} else {
-					draw = s.rnd.Float64() // DeterministicRNG keeps the pinned sequence
-				}
-				station = plan.PickU(draw)
+				station = plan.PickU(s.rnd.float64U(u >> randPickShardShift))
 			}
 			if s.breakers.rejects(station) {
 				station = s.redirect(plan, station, u)
@@ -210,14 +200,14 @@ func (s *Server) decideChunkExact(dst []Decision, start time.Time, plan *Plan, r
 		if s.depths != nil && s.backend == nil {
 			s.depths.inc(station)
 		}
-		s.fastM.countDispatch(station)
+		s.m.countDispatch(station)
 		if u>>randLatGateShift&(p2SampleStride-1) == 0 {
 			gates++
 		}
 		dst[j] = Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
 	}
 	if gates > 0 {
-		s.fastM.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
+		s.m.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // DecideBatch per round), and returns the routed station sequence.
 // Outcome reports land at round boundaries in BOTH modes, so the JSQ
 // depth state evolves identically and any divergence is the batch
-// path's fault, not the schedule's.
-func decideRounds(t *testing.T, s *Server, rounds []int, batched bool) []int {
+// path's fault, not the schedule's. With shed set a rejected decision
+// is recorded as station -1; otherwise any rejection fails the test.
+func decideRounds(t *testing.T, s *Server, rounds []int, batched, shed bool) []int {
 	t.Helper()
 	var seq []int
 	for _, k := range rounds {
@@ -35,7 +36,11 @@ func decideRounds(t *testing.T, s *Server, rounds []int, batched bool) []int {
 		}
 		for i, d := range round {
 			if d.Rejected {
-				t.Fatalf("unexpected rejection: %s", d.Reason)
+				if !shed {
+					t.Fatalf("unexpected rejection: %s", d.Reason)
+				}
+				seq = append(seq, -1)
+				continue
 			}
 			seq = append(seq, d.Station)
 			if i%3 == 0 {
@@ -49,32 +54,39 @@ func decideRounds(t *testing.T, s *Server, rounds []int, batched bool) []int {
 // TestDecideBatchDeterministicSequence pins the tentpole equivalence
 // contract: under Config.DeterministicRNG, DecideBatch routes the
 // IDENTICAL station sequence as the same number of sequential Decide
-// calls, draw for draw, across static, sparse-picker and JSQ(2)
-// configurations and across uneven chunk schedules (crossing the
-// internal batchChunk boundary).
+// calls, draw for draw, across static, sparse-picker, JSQ(2) and
+// shedding configurations and across uneven chunk schedules (crossing
+// the internal batchChunk boundary).
 func TestDecideBatchDeterministicSequence(t *testing.T) {
 	rounds := []int{5, 1, 17, batchChunk, 2*batchChunk + 9, 3}
-	configs := map[string]func(*Config){
-		"static": nil,
-		"jsq2":   func(c *Config) { c.Policy = PolicyJSQ },
-		"serialized": func(c *Config) {
-			c.SerializedHotPath = true
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		shed   bool
+	}{
+		{name: "static"},
+		{name: "jsq2", mutate: func(c *Config) { c.Policy = PolicyJSQ }},
+		{
+			// 1.2× the saturation rate: the startup plan sheds, so every
+			// decision first draws its admission coin from the stream.
+			name:   "shed",
+			mutate: func(c *Config) { c.Lambda = 1.2 * c.Group.MaxGenericRate() },
+			shed:   true,
 		},
-	}
-	for name, mutate := range configs {
-		t.Run(name, func(t *testing.T) {
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			build := func() *Server {
 				return newTestServer(t, func(c *Config) {
 					c.Seed = 42
 					c.DeterministicRNG = true
-					c.Window = time.Hour // cold estimator: no admission draws
-					if mutate != nil {
-						mutate(c)
+					c.Window = time.Hour // cold estimator: only planned shedding
+					if tc.mutate != nil {
+						tc.mutate(c)
 					}
 				})
 			}
-			seqRun := decideRounds(t, build(), rounds, false)
-			batchRun := decideRounds(t, build(), rounds, true)
+			seqRun := decideRounds(t, build(), rounds, false, tc.shed)
+			batchRun := decideRounds(t, build(), rounds, true, tc.shed)
 			for i := range seqRun {
 				if seqRun[i] != batchRun[i] {
 					t.Fatalf("decision %d: sequential routed %d, batched routed %d",
@@ -87,6 +99,9 @@ func TestDecideBatchDeterministicSequence(t *testing.T) {
 			}
 			if len(distinct) < 2 {
 				t.Fatalf("degenerate sequence: only stations %v picked", distinct)
+			}
+			if tc.shed && (!distinct[-1] || len(distinct) < 3) {
+				t.Fatalf("test premise: want rejections and several routed stations, got %v", distinct)
 			}
 		})
 	}
@@ -120,8 +135,8 @@ func TestDecideBatchDeterministicSequenceSparse(t *testing.T) {
 		return s
 	}
 	rounds := []int{batchChunk + 3, 9, 40}
-	seqRun := decideRounds(t, build(), rounds, false)
-	batchRun := decideRounds(t, build(), rounds, true)
+	seqRun := decideRounds(t, build(), rounds, false, false)
+	batchRun := decideRounds(t, build(), rounds, true, false)
 	for i := range seqRun {
 		if seqRun[i] != batchRun[i] {
 			t.Fatalf("decision %d: sequential routed %d, batched routed %d",
@@ -273,10 +288,10 @@ func TestObserveNFractionalExactness(t *testing.T) {
 	}
 
 	s := newTestServer(t, func(c *Config) { c.Window = time.Hour })
-	before := s.fastEst.Observed()
+	before := s.est.Observed()
 	dst := make([]Decision, 10)
 	s.DecideBatch(dst)
-	if got := s.fastEst.Observed() - before; got != 10 {
+	if got := s.est.Observed() - before; got != 10 {
 		t.Errorf("DecideBatch(10) bumped Observed by %d, want 10", got)
 	}
 }
@@ -376,7 +391,7 @@ func TestCoalescerGroupsConcurrentDispatches(t *testing.T) {
 			t.Fatalf("request %d: station %d out of range", i, r.Station)
 		}
 	}
-	if got := s.fastM.dispatchTotal.Load(); got != requests {
+	if got := s.m.dispatchTotal.Load(); got != requests {
 		t.Errorf("dispatch counter %d after %d coalesced requests, want exact match", got, requests)
 	}
 	// Solitary request: no concurrent peer, so the low-QPS fallback must
@@ -396,7 +411,7 @@ func TestCoalescerGroupsConcurrentDispatches(t *testing.T) {
 // decisions draw from one lattice (and the disjoint-reservation
 // argument in fillU's doc holds by construction).
 func TestFillUMatchesSequentialDraws(t *testing.T) {
-	a, b := newShardedRNG(99), newShardedRNG(99)
+	a, b := newShardedRNG(99, false), newShardedRNG(99, false)
 	const k = 24
 	var batch [k]uint64
 	a.fillU(5, batch[:])

@@ -445,23 +445,28 @@ func TestTrialPickDivertsProbeShare(t *testing.T) {
 
 // TestDeterministicRNGPinsTrialAdmissionSequence pins the contract that
 // under DeterministicRNG a fixed seed reproduces the exact probe/pick
-// sequence even while a breaker is half-open — across runs and across
-// the fast and serialized hot paths, which share the draw logic.
+// sequence even while a breaker is half-open — across runs and against
+// the in-test SplitMix64 reference: the trial coin is a slice of the
+// request word u, and an ordinary pick that lands on the half-open
+// station takes one redraw.
 func TestDeterministicRNGPinsTrialAdmissionSequence(t *testing.T) {
 	type step struct {
 		station int
 		trial   bool
 	}
-	sequence := func(serialized bool) []step {
+	const seed, trialStation = 42, 2
+	fraction := 0.2
+	var plan *Plan
+	sequence := func() []step {
 		clk := newFakeClock()
 		s := newBreakerTestServer(t, clk, func(c *Config) {
-			c.Seed = 42
+			c.Seed = seed
 			c.DeterministicRNG = true
-			c.SerializedHotPath = serialized
-			c.Breaker.TrialFraction = 0.2
+			c.Breaker.TrialFraction = fraction
 		})
-		s.breakers.stations[2].state.Store(breakerHalfOpen)
+		s.breakers.stations[trialStation].state.Store(breakerHalfOpen)
 		s.breakers.snapshotTrial()
+		plan = s.Plan()
 		out := make([]step, 400)
 		for i := range out {
 			d := s.Decide()
@@ -469,24 +474,33 @@ func TestDeterministicRNGPinsTrialAdmissionSequence(t *testing.T) {
 		}
 		return out
 	}
-	a, b := sequence(false), sequence(false)
-	trials := 0
+	a, b := sequence(), sequence()
+	ref := newSeededRef(seed)
+	coin := uint64(fraction * (1 << randTrialBits))
+	trials, redraws := 0, 0
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("step %d diverged across same-seed runs: %+v vs %+v", i, a[i], b[i])
+		}
+		want := step{trialStation, true}
+		if u := ref.next(); u>>randTrialShift&(1<<randTrialBits-1) >= coin {
+			want = step{plan.PickU(ref.float64()), false}
+			if want.station == trialStation {
+				redraws++
+				if alt := plan.PickU(ref.float64()); alt != trialStation {
+					want.station = alt
+				}
+			}
+		}
+		if a[i] != want {
+			t.Fatalf("step %d: %+v, reference %+v", i, a[i], want)
 		}
 		if a[i].trial {
 			trials++
 		}
 	}
-	if trials == 0 {
-		t.Fatal("no trial admissions in 400 draws at fraction 0.2")
-	}
-	ser := sequence(true)
-	for i := range a {
-		if a[i] != ser[i] {
-			t.Fatalf("step %d diverged between fast and serialized paths: %+v vs %+v", i, a[i], ser[i])
-		}
+	if trials == 0 || redraws == 0 {
+		t.Fatalf("test premise: %d trial admissions and %d redraws in 400 draws", trials, redraws)
 	}
 }
 

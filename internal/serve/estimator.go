@@ -7,27 +7,6 @@ import (
 	"time"
 )
 
-// estimator is the common surface of the sharded and locked
-// arrival-rate estimators. The daemon measures the observed generic
-// rate λ̂′ through it to detect drift from the plan's λ′.
-type estimator interface {
-	// Observe records n arrivals at the current clock reading.
-	Observe(n float64)
-	// Rate returns the estimated arrivals per second over the window.
-	Rate() float64
-	// Warm reports whether a full window of observation has elapsed.
-	Warm() bool
-	// Observed returns the lifetime arrival count, rounded to the
-	// nearest integer (fractional observations accumulate exactly).
-	Observed() int64
-	// ObserveAt/RateAt/WarmAt are the clock-supplied variants: the
-	// dispatch hot path reads the clock once and reuses the instant,
-	// instead of paying one clock read per estimator touch.
-	ObserveAt(t time.Time, n float64)
-	RateAt(t time.Time) float64
-	WarmAt(t time.Time) bool
-}
-
 // countScale is the fixed-point resolution of the ring buckets: counts
 // are stored as atomic.Int64 in units of one millionth of an arrival,
 // so fractional Observe values (batch weights, sampled streams) survive
@@ -132,8 +111,7 @@ func NewRateEstimator(window time.Duration, buckets int, now func() time.Time) *
 }
 
 // start returns the UnixNano origin of the epoch grid, initializing it
-// to t on the first observation or reading (both anchor the grid, as in
-// the locked estimator).
+// to t on the first observation or reading (both anchor the grid).
 func (e *RateEstimator) start(t time.Time) int64 {
 	if s := e.started.Load(); s != 0 {
 		return s

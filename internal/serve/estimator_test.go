@@ -30,23 +30,16 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// estimatorImpls runs a subtest against both estimator implementations:
-// the sharded lock-free default and the locked reference semantics.
-func estimatorImpls(t *testing.T, f func(t *testing.T, mk func(window time.Duration, buckets int, now func() time.Time) estimator)) {
+// estimatorImpls runs a subtest against the sharded lock-free
+// estimator, the one RateEstimator implementation.
+func estimatorImpls(t *testing.T, f func(t *testing.T, mk func(window time.Duration, buckets int, now func() time.Time) *RateEstimator)) {
 	t.Run("sharded", func(t *testing.T) {
-		f(t, func(w time.Duration, b int, now func() time.Time) estimator {
-			return NewRateEstimator(w, b, now)
-		})
-	})
-	t.Run("locked", func(t *testing.T) {
-		f(t, func(w time.Duration, b int, now func() time.Time) estimator {
-			return NewLockedRateEstimator(w, b, now)
-		})
+		f(t, NewRateEstimator)
 	})
 }
 
 func TestRateEstimatorSteadyRate(t *testing.T) {
-	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) estimator) {
+	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) *RateEstimator) {
 		clk := newFakeClock()
 		e := mk(10*time.Second, 10, clk.Now)
 		if e.Warm() {
@@ -70,7 +63,7 @@ func TestRateEstimatorSteadyRate(t *testing.T) {
 }
 
 func TestRateEstimatorEarlyReadings(t *testing.T) {
-	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) estimator) {
+	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) *RateEstimator) {
 		clk := newFakeClock()
 		e := mk(10*time.Second, 10, clk.Now)
 		// 5 arrivals/s for 2 seconds: an early reading must divide by the
@@ -89,7 +82,7 @@ func TestRateEstimatorEarlyReadings(t *testing.T) {
 }
 
 func TestRateEstimatorIdleGapClears(t *testing.T) {
-	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) estimator) {
+	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) *RateEstimator) {
 		clk := newFakeClock()
 		e := mk(10*time.Second, 10, clk.Now)
 		for i := 0; i < 100; i++ {
@@ -109,7 +102,7 @@ func TestRateEstimatorIdleGapClears(t *testing.T) {
 }
 
 func TestRateEstimatorRateDecaysAsWindowSlides(t *testing.T) {
-	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) estimator) {
+	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) *RateEstimator) {
 		clk := newFakeClock()
 		e := mk(10*time.Second, 10, clk.Now)
 		for i := 0; i < 100; i++ {
@@ -133,7 +126,7 @@ func TestRateEstimatorRateDecaysAsWindowSlides(t *testing.T) {
 // batch weights, sampled streams — never registered. The count now
 // accumulates in float and rounds once at read.
 func TestRateEstimatorFractionalObservations(t *testing.T) {
-	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) estimator) {
+	estimatorImpls(t, func(t *testing.T, mk func(time.Duration, int, func() time.Time) *RateEstimator) {
 		clk := newFakeClock()
 		e := mk(10*time.Second, 10, clk.Now)
 		// 40 half-arrivals over 4 seconds: 20 arrivals at 5/s.

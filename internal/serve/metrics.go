@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	randv2 "math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,27 +27,8 @@ const (
 // map-based implementation.
 var rejectReasonNames = [numRejectReasons]string{"admission", "concurrency", "shed"}
 
-// serverMetrics is the daemon's operational-statistics sink. Two
-// implementations exist: shardedMetrics (default, lock-free counters
-// with per-shard latency accumulators) and lockedMetrics (the original
-// single-mutex design, kept as the serialized baseline).
-type serverMetrics interface {
-	// observeDispatch records one served routing decision.
-	observeDispatch(station int, seconds float64)
-	// reject counts one rejected request by reason.
-	reject(r rejectReason)
-	// resolved records the outcome of one re-solve attempt.
-	resolved(err error)
-	// latencyQuantile95 returns the current p95 dispatch latency in
-	// seconds (0 while cold) — the hedge-delay source.
-	latencyQuantile95() float64
-	// writeTo renders the Prometheus text exposition (format 0.0.4).
-	writeTo(w io.Writer, plan *Plan, rate float64, warm bool)
-}
-
 // metricsSnapshot is a consistent copy of the counters taken at scrape
-// time; both implementations render through it so the exposition is
-// byte-identical across them.
+// time.
 type metricsSnapshot struct {
 	dispatchTotal int64
 	byStation     []int64
@@ -60,7 +40,8 @@ type metricsSnapshot struct {
 	q50, q95, q99 float64
 }
 
-// shardedMetrics is the lock-free default: monotonic counters are plain
+// shardedMetrics is the daemon's operational-statistics sink. It is
+// lock-free on the dispatch path: monotonic counters are plain
 // atomics (dispatchTotal, per-station, the reason-indexed rejection
 // array) and the latency moments/quantiles are accumulated in
 // GOMAXPROCS shards — each shard a Welford plus three P² estimators
@@ -111,15 +92,6 @@ func newServerMetrics(stations int) *shardedMetrics {
 		m.shards[i].q99, _ = metrics.NewP2Quantile(0.99)
 	}
 	return m
-}
-
-// observeDispatch records one served decision with its latency — the
-// general entry point (tests, non-hot callers). The hot path instead
-// calls countDispatch every request and observeLatency on the sampled
-// subset.
-func (m *shardedMetrics) observeDispatch(station int, seconds float64) {
-	m.countDispatch(station)
-	m.observeLatency(seconds, randv2.Uint64())
 }
 
 // countDispatch bumps the exact dispatch counters: two uncontended
@@ -196,10 +168,12 @@ func (m *shardedMetrics) latencyQuantile95() float64 {
 	return metrics.MergeP2Quantiles(clones...)
 }
 
+// reject counts one rejected request by reason.
 func (m *shardedMetrics) reject(r rejectReason) {
 	m.rejected[r].Add(1)
 }
 
+// resolved records the outcome of one re-solve attempt.
 func (m *shardedMetrics) resolved(err error) {
 	m.resolveTotal.Add(1)
 	if err != nil {
@@ -207,6 +181,8 @@ func (m *shardedMetrics) resolved(err error) {
 	}
 }
 
+// writeTo renders the Prometheus text exposition (format 0.0.4) from a
+// snapshot of the counters.
 func (m *shardedMetrics) writeTo(w io.Writer, plan *Plan, rate float64, warm bool) {
 	snap := metricsSnapshot{
 		dispatchTotal: m.dispatchTotal.Load(),
@@ -242,84 +218,6 @@ func (m *shardedMetrics) writeTo(w io.Writer, plan *Plan, rate float64, warm boo
 	// an unbiased estimate under hot-path sampling; see p2SampleStride).
 	snap.durationCount = snap.dispatchTotal
 	snap.durationSum = merged.Mean() * float64(snap.dispatchTotal)
-	renderMetrics(w, snap, plan, rate, warm)
-}
-
-// lockedMetrics is the original single-mutex implementation, retained
-// as the serialized hot-path baseline (Config.SerializedHotPath and
-// BenchmarkDispatchParallelMutex).
-type lockedMetrics struct {
-	mu            sync.Mutex
-	dispatchTotal int64
-	byStation     []int64
-	rejected      [numRejectReasons]int64
-	resolveTotal  int64
-	resolveErrors int64
-	latency       metrics.Welford
-	q50, q95, q99 *metrics.P2Quantile
-}
-
-func newLockedServerMetrics(stations int) *lockedMetrics {
-	q50, _ := metrics.NewP2Quantile(0.5)
-	q95, _ := metrics.NewP2Quantile(0.95)
-	q99, _ := metrics.NewP2Quantile(0.99)
-	return &lockedMetrics{
-		byStation: make([]int64, stations),
-		q50:       q50, q95: q95, q99: q99,
-	}
-}
-
-//bladelint:allow lock -- serialized baseline: lockedMetrics is the mutexed reference the sharded metrics are benchmarked against
-func (m *lockedMetrics) observeDispatch(station int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dispatchTotal++
-	if station >= 0 && station < len(m.byStation) {
-		m.byStation[station]++
-	}
-	m.latency.Add(seconds)
-	m.q50.Add(seconds)
-	m.q95.Add(seconds)
-	m.q99.Add(seconds)
-}
-
-//bladelint:allow lock -- serialized baseline, same justification as observeDispatch
-func (m *lockedMetrics) reject(r rejectReason) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejected[r]++
-}
-
-func (m *lockedMetrics) latencyQuantile95() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q95.Value()
-}
-
-func (m *lockedMetrics) resolved(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.resolveTotal++
-	if err != nil {
-		m.resolveErrors++
-	}
-}
-
-func (m *lockedMetrics) writeTo(w io.Writer, plan *Plan, rate float64, warm bool) {
-	m.mu.Lock()
-	snap := metricsSnapshot{
-		dispatchTotal: m.dispatchTotal,
-		byStation:     append([]int64(nil), m.byStation...),
-		rejected:      m.rejected,
-		resolveTotal:  m.resolveTotal,
-		resolveErrors: m.resolveErrors,
-		durationCount: m.latency.Count(),
-		durationSum:   m.latency.Mean() * float64(m.latency.Count()),
-		q50:           m.q50.Value(),
-		q95:           m.q95.Value(),
-		q99:           m.q99.Value(),
-	}
-	m.mu.Unlock()
 	renderMetrics(w, snap, plan, rate, warm)
 }
 
@@ -401,9 +299,9 @@ func boolGauge(b bool) int {
 }
 
 // writeResilienceMetrics appends the failure-detector, breaker and
-// guard series to the exposition — kept outside serverMetrics because
+// guard series to the exposition — kept outside shardedMetrics because
 // this state lives on the Server (one source of truth for breaker
-// state) and is identical for both hot-path implementations.
+// state).
 func (s *Server) writeResilienceMetrics(w io.Writer) {
 	nowNs := s.now().UnixNano()
 	fmt.Fprintln(w, "# HELP bladed_breaker_state Circuit state per station (0 closed, 1 half-open, 2 open).")

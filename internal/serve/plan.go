@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -62,11 +61,6 @@ type Plan struct {
 	// branch). The static picker is still built — redirect redraws and
 	// repick fall back to it.
 	jsq *dispatch.PowerOfD
-}
-
-// Pick draws one routing decision from the plan's distribution.
-func (p *Plan) Pick(rng *rand.Rand) int {
-	return p.picker.Pick(nil, rng)
 }
 
 // PickU draws one routing decision using a caller-supplied uniform

@@ -5,8 +5,9 @@ import "runtime"
 // One-rand-word bit layout — the single source of truth.
 //
 // The lock-free hot path (Decide) draws exactly one random word per
-// request and every randomized step consumes its own bit slice of that
-// word. The slices MUST stay pairwise disjoint: two consumers sharing
+// request (shardedRNG.word: the seeded stream's next output under
+// DeterministicRNG) and every randomized step consumes its own bit
+// slice of that word. The slices MUST stay pairwise disjoint: two consumers sharing
 // bits would correlate decisions that the plan's probabilistic model
 // assumes independent (TestRandWordSlicesDisjoint pins this, and
 // DESIGN.md §15 documents the contract). Layout of word u:

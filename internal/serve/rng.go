@@ -1,58 +1,32 @@
 package serve
 
 import (
-	"math/rand"
 	randv2 "math/rand/v2"
-	"sync"
 	"sync/atomic"
 )
 
-// dispatchRand supplies the uniform variates the dispatch hot path
-// consumes (one optional admission draw, one plan pick per request;
-// Uint64 feeds the JSQ(d) station samples when the sharded fast path
-// is off, so DeterministicRNG reproduces pick sequences bit-exactly).
-type dispatchRand interface {
-	Float64() float64
-	Uint64() uint64
-}
-
-// lockedRand serializes a single math/rand generator behind a mutex —
-// the Config.DeterministicRNG path. For a given seed it reproduces the
-// exact draw sequence of the original single-RNG server, which is what
-// the cross-version determinism tests pin.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-//bladelint:allow lock -- serialized baseline: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
-func (l *lockedRand) Float64() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Float64()
-}
-
-//bladelint:allow lock -- serialized baseline: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
-func (l *lockedRand) Uint64() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Uint64()
-}
-
-// shardedRNG is the lock-free default: GOMAXPROCS SplitMix64 states
-// seeded from cfg.Seed. A draw picks a shard with a cheap per-thread
-// random index and advances that shard's state with one atomic add.
-// The SplitMix64 increment is odd, so a shard's state walks a
-// full-period sequence even when concurrent draws interleave on it —
-// interleaving permutes who gets which output, never the stream's
-// statistical quality.
+// shardedRNG is the dispatch hot path's one random source: GOMAXPROCS
+// SplitMix64 states seeded from cfg.Seed. A draw picks a shard with a
+// cheap per-thread random index and advances that shard's state with
+// one atomic add. The SplitMix64 increment is odd, so a shard's state
+// walks a full-period sequence even when concurrent draws interleave
+// on it — interleaving permutes who gets which output, never the
+// stream's statistical quality.
+//
+// Under Config.DeterministicRNG the generator has ONE shard and the
+// per-request word comes from that shard too (word), so every variate
+// a decision consumes is the next output of one seeded stream, whose
+// state starts at the first SplitMix64 output of the seed. Draw order
+// per decision, one stream output each: the request word u; the
+// admission coin, while admission sheds; the static pick variate, or
+// JSQ(d > 2)'s dedicated sample word; the redirect redraw, if the
+// pick's breaker rejects it (DESIGN.md §16). Same seed and one
+// goroutine give the same sequence, and a draw is still one atomic
+// add.
 type shardedRNG struct {
-	shards []rngShard
-	mask   uint64
+	shards        []rngShard
+	mask          uint64
+	deterministic bool
 }
 
 // rngShard pads each state word to its own cache line so concurrent
@@ -66,9 +40,14 @@ type rngShard struct {
 // integer nearest 2^64/φ).
 const splitmixGamma = 0x9E3779B97F4A7C15
 
-func newShardedRNG(seed int64) *shardedRNG {
-	n := hotShards(randPickShardBits)
-	r := &shardedRNG{shards: make([]rngShard, n), mask: uint64(n - 1)}
+// newShardedRNG builds the generator; deterministic selects the
+// single-stream form Config.DeterministicRNG asks for.
+func newShardedRNG(seed int64, deterministic bool) *shardedRNG {
+	n := 1
+	if !deterministic {
+		n = hotShards(randPickShardBits)
+	}
+	r := &shardedRNG{shards: make([]rngShard, n), mask: uint64(n - 1), deterministic: deterministic}
 	s := uint64(seed)
 	for i := range r.shards {
 		// Each shard starts at a mixed, well-separated point of the
@@ -79,12 +58,23 @@ func newShardedRNG(seed int64) *shardedRNG {
 	return r
 }
 
-func (r *shardedRNG) Float64() float64 { return r.float64U(randv2.Uint64()) }
+// word returns a full random word: the per-request word u of the
+// randbits.go layout, or a dedicated word when u has no spare bits
+// (JSQ(d) with d > 2). By default it comes from the runtime's
+// per-thread generator; under DeterministicRNG it is the next output
+// of the one seeded stream, so the slices of u (trial coin, JSQ
+// samples, latency gate) replay with the seed.
+func (r *shardedRNG) word() uint64 {
+	if r.deterministic {
+		return r.uint64U(0)
+	}
+	return randv2.Uint64()
+}
 
-// Uint64 draws a full random word by advancing a randomly picked
-// shard's SplitMix64 state — the JSQ(d) sample source when the caller
-// has no spare per-request bits to hand over (d > 2, serialized path).
-func (r *shardedRNG) Uint64() uint64 { return r.uint64U(randv2.Uint64()) }
+// Float64 draws a uniform variate in [0, 1) from a shard a fresh
+// per-thread word picks (with one shard the pick is moot and the
+// variate is the seeded stream's next output).
+func (r *shardedRNG) Float64() float64 { return r.float64U(randv2.Uint64()) }
 
 // float64U is Float64 with the shard-pick word supplied by the caller —
 // the dispatch hot path draws one random word per request and feeds its

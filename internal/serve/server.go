@@ -77,17 +77,13 @@ type Config struct {
 	Logger *slog.Logger
 	// Seed seeds the dispatch RNG (0 means 1, for determinism).
 	Seed int64
-	// DeterministicRNG serializes all dispatch draws through a single
-	// seeded math/rand generator (the pre-sharding behaviour), so a
-	// fixed Seed reproduces the exact routing sequence. The default is
-	// lock-free per-shard SplitMix64 states, which are seeded but not
-	// sequence-reproducible under concurrency.
+	// DeterministicRNG draws every dispatch variate from one SplitMix64
+	// stream seeded from Seed, so a fixed Seed on a single goroutine
+	// reproduces the exact routing sequence of Decide and DecideBatch.
+	// The default spreads draws over per-shard SplitMix64 states and the
+	// runtime's per-thread generator: seeded, but not
+	// sequence-reproducible.
 	DeterministicRNG bool
-	// SerializedHotPath restores the fully mutex-serialized request
-	// path — locked estimator, locked metrics, deterministic RNG. It is
-	// the contention baseline BenchmarkDispatchParallelMutex measures;
-	// production use should leave it off.
-	SerializedHotPath bool
 	// Policy selects the dispatch policy: the paper-optimal static
 	// probabilistic split (default) or power-of-d sampled least-depth
 	// routing (PolicyJSQ).
@@ -191,16 +187,11 @@ type Server struct {
 	group *model.Group
 	log   *slog.Logger
 	now   func() time.Time
-	est   estimator
-	m     serverMetrics
-	rnd   dispatchRand
-	// fastEst/fastM are the concrete lock-free implementations behind
-	// est/m on the default path (nil when SerializedHotPath), letting
-	// the dispatch hot path call their shard-hinted entry points
-	// without interface indirection.
-	fastEst *RateEstimator
-	fastM   *shardedMetrics
-	fastRnd *shardedRNG // nil under DeterministicRNG/SerializedHotPath
+	// est, m and rnd are the dispatch hot path's lock-free arrival-rate
+	// estimator, metrics sink and random source.
+	est *RateEstimator
+	m   *shardedMetrics
+	rnd *shardedRNG
 
 	// depths/jsqD are the PolicyJSQ state: per-station in-flight depth
 	// counters the power-of-d score reads, and the sample count d.
@@ -298,22 +289,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BatchMax > 1 {
 		s.coal = &coalescer{s: s, max: cfg.BatchMax, linger: cfg.BatchLinger}
 	}
-	if cfg.SerializedHotPath {
-		s.est = NewLockedRateEstimator(cfg.Window, cfg.Buckets, cfg.Now)
-		s.m = newLockedServerMetrics(cfg.Group.N())
-		s.rnd = newLockedRand(cfg.Seed)
-	} else {
-		s.fastEst = NewRateEstimator(cfg.Window, cfg.Buckets, cfg.Now)
-		s.fastM = newServerMetrics(cfg.Group.N())
-		s.est = s.fastEst
-		s.m = s.fastM
-		if cfg.DeterministicRNG {
-			s.rnd = newLockedRand(cfg.Seed)
-		} else {
-			s.fastRnd = newShardedRNG(cfg.Seed)
-			s.rnd = s.fastRnd
-		}
-	}
+	s.est = NewRateEstimator(cfg.Window, cfg.Buckets, cfg.Now)
+	s.m = newServerMetrics(cfg.Group.N())
+	s.rnd = newShardedRNG(cfg.Seed, cfg.DeterministicRNG)
 	for i := range s.up {
 		s.up[i] = true
 	}
@@ -462,25 +440,20 @@ type Decision struct {
 // admission-check against the live plan, pick a station — and records
 // the decision in the operational metrics. It is the core of
 // POST /v1/dispatch, exported so load harnesses and benchmarks can
-// drive it without HTTP framing. The default path is lock-free;
-// Config.SerializedHotPath selects the original mutex-serialized flow.
+// drive it without HTTP framing. It is lock-free.
 func (s *Server) Decide() Decision {
-	if s.fastEst == nil {
-		return s.decideSerialized()
-	}
 	start := s.now()
 	// One random word per request feeds every randomized step through
-	// disjoint bit slices (layout in randbits.go); the static station
-	// pick draws from s.rnd so DeterministicRNG keeps its sequence.
-	u := randv2.Uint64()
-	s.fastEst.observeAtShard(start, 1, u)
+	// disjoint bit slices (layout in randbits.go).
+	u := s.rnd.word()
+	s.est.observeAtShard(start, 1, u)
 	plan := s.plan.Load()
-	rate := s.fastEst.RateAt(start)
-	warm := s.fastEst.WarmAt(start)
+	rate := s.est.RateAt(start)
+	warm := s.est.WarmAt(start)
 
 	admit, reason := s.admission(plan, rate, warm)
 	if admit < 1 && s.rnd.Float64() >= admit {
-		s.fastM.reject(reason)
+		s.m.reject(reason)
 		return Decision{Station: -1, Plan: plan, Rate: rate,
 			Rejected: true, Reason: rejectReasonNames[reason]}
 	}
@@ -491,13 +464,7 @@ func (s *Server) Decide() Decision {
 		if plan.jsq != nil {
 			station = plan.jsq.PickU(s.jsqBits(u))
 		} else {
-			var draw float64
-			if s.fastRnd != nil {
-				draw = s.fastRnd.float64U(u >> randPickShardShift)
-			} else {
-				draw = s.rnd.Float64() // DeterministicRNG keeps the pinned sequence
-			}
-			station = plan.PickU(draw)
+			station = plan.PickU(s.rnd.float64U(u >> randPickShardShift))
 		}
 		if s.breakers.rejects(station) {
 			station = s.redirect(plan, station, u)
@@ -509,7 +476,7 @@ func (s *Server) Decide() Decision {
 		// Backend the guard brackets each real attempt instead.
 		s.depths.inc(station)
 	}
-	s.fastM.countDispatch(station)
+	s.m.countDispatch(station)
 	// Latency is measured on a random 1-in-p2SampleStride subset: the
 	// second clock read is the costliest step left on this path, so the
 	// sample gates the read itself, not just the accumulator update.
@@ -517,26 +484,22 @@ func (s *Server) Decide() Decision {
 	// pays a clock read, and u's former shard bits now feed the JSQ
 	// samples (randbits.go).
 	if u>>randLatGateShift&(p2SampleStride-1) == 0 {
-		s.fastM.observeLatency(s.now().Sub(start).Seconds(), randv2.Uint64())
+		s.m.observeLatency(s.now().Sub(start).Seconds(), randv2.Uint64())
 	}
 	return Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
 }
 
 // trialPick diverts a TrialFraction share of dispatches to the
 // half-open station currently on probation (if any). The trial coin
-// consumes randomness only while a trial station is posted, so the
-// DeterministicRNG draw sequence is untouched whenever every breaker
-// is closed — the contract the cross-version determinism test pins.
+// is a slice of the request's word u, so it draws nothing from the
+// generator: the DeterministicRNG stream advances the same whether or
+// not a trial is posted.
 func (s *Server) trialPick(u uint64) (int, bool) {
 	ts := s.breakers.trial.Load()
 	if ts < 0 {
 		return -1, false
 	}
-	if s.fastRnd != nil {
-		if u>>randTrialShift&(1<<randTrialBits-1) >= s.breakers.trialBits {
-			return -1, false
-		}
-	} else if s.rnd.Float64() >= s.breakers.trialFraction {
+	if u>>randTrialShift&(1<<randTrialBits-1) >= s.breakers.trialBits {
 		return -1, false
 	}
 	station := int(ts)
@@ -556,16 +519,10 @@ func (s *Server) trialPick(u uint64) (int, bool) {
 // the misrouted mass; if the redraw is also rejected the original
 // pick stands (the plan swap is at most a scan interval away).
 func (s *Server) redirect(plan *Plan, station int, u uint64) int {
-	var draw float64
-	if s.fastRnd != nil {
-		// Reusing the shard-pick slice is sound: the slice only selects
-		// which SplitMix64 shard advances; the redraw's variate comes
-		// from the shard's state walk, independent of the first draw.
-		draw = s.fastRnd.float64U(u >> randPickShardShift)
-	} else {
-		draw = s.rnd.Float64()
-	}
-	if alt := plan.PickU(draw); !s.breakers.rejects(alt) {
+	// Reusing the shard-pick slice is sound: the slice only selects
+	// which SplitMix64 shard advances; the redraw's variate comes from
+	// the shard's state walk, independent of the first draw.
+	if alt := plan.PickU(s.rnd.float64U(u >> randPickShardShift)); !s.breakers.rejects(alt) {
 		s.breakers.redirects.Add(1)
 		return alt
 	}
@@ -575,55 +532,14 @@ func (s *Server) redirect(plan *Plan, station int, u uint64) int {
 // jsqBits supplies the random word the power-of-d picker consumes its
 // d station samples from. d ≤ 2 fits the per-request word's sample
 // slice (randbits.go); d > 2 needs 16 more bits than the word has
-// spare and draws a dedicated one. Under DeterministicRNG the samples
-// come from the seeded serialized generator so a fixed seed reproduces
-// the exact pick sequence (pinned by TestJSQDeterministicSequence).
+// spare and draws a dedicated one. Under DeterministicRNG both come
+// from the seeded stream, so a fixed seed reproduces the exact pick
+// sequence (pinned by TestJSQDeterministicSequence).
 func (s *Server) jsqBits(u uint64) uint64 {
-	if s.fastRnd == nil {
-		return s.rnd.Uint64()
-	}
 	if s.jsqD <= 2 {
 		return u >> randSampleShift
 	}
-	return randv2.Uint64()
-}
-
-// decideSerialized is the dispatch flow exactly as the pre-sharding
-// server ran it — per-touch clock reads inside the locked estimator,
-// two warmth checks, every counter behind one mutex — kept as the
-// measurable contention baseline for the lock-free path.
-func (s *Server) decideSerialized() Decision {
-	start := s.now()
-	s.est.Observe(1)
-	plan := s.plan.Load()
-	rate := s.est.Rate()
-
-	admit, reason := s.admission(plan, rate, s.est.Warm())
-	if admit < 1 && s.rnd.Float64() >= admit {
-		s.m.reject(reason)
-		return Decision{Station: -1, Plan: plan, Rate: rate,
-			Rejected: true, Reason: rejectReasonNames[reason]}
-	}
-	s.driftCheck(plan, rate, s.est.Warm())
-
-	// With fastRnd nil, trialPick, jsqBits and redirect draw from
-	// s.rnd, so the serialized path shares the deterministic sequence.
-	station, trial := s.trialPick(0)
-	if !trial {
-		if plan.jsq != nil {
-			station = plan.jsq.PickU(s.jsqBits(0))
-		} else {
-			station = plan.PickU(s.rnd.Float64())
-		}
-		if s.breakers.rejects(station) {
-			station = s.redirect(plan, station, 0)
-		}
-	}
-	if s.depths != nil && s.backend == nil {
-		s.depths.inc(station)
-	}
-	s.m.observeDispatch(station, s.now().Sub(start).Seconds())
-	return Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
+	return s.rnd.word()
 }
 
 // admission returns the admissible fraction of the stream and the
