@@ -4,11 +4,14 @@
 // generic tasks (Li, J. Grid Computing 2013, §3–§4).
 //
 // The entry point is Optimize, which implements the algorithm of the
-// paper's Fig. 3 ("Calculate T′"): an outer bisection on the Lagrange
-// multiplier φ wrapped around the per-server inner bisection of Fig. 2
-// ("Find_λ′_i"), exposed here as FindRate. Both disciplines (shared
-// FCFS and special tasks with non-preemptive priority) are supported
-// through queueing.Discipline.
+// paper's Fig. 3 ("Calculate T′"): an outer search on the Lagrange
+// multiplier φ wrapped around the per-server inner solve of Fig. 2
+// ("Find_λ′_i"), exposed here as FindRate. By default the outer search
+// takes ITP steps from the idle-cost floor and the inner solve is a
+// bracketed Newton iteration; Options.PureBisection runs the paper's
+// literal nested bisection. Both disciplines (shared FCFS and special
+// tasks with non-preemptive priority) are supported through
+// queueing.Discipline.
 //
 // For the single-blade case m_1 = … = m_n = 1 the paper gives closed
 // forms (Theorems 1 and 3), implemented in closedform.go; they serve as
@@ -57,14 +60,20 @@ type Options struct {
 	// Lagrange multiplier from a previous solve's Phi — the failover
 	// fast path: after a failure or recovery the optimal φ moves by a
 	// bounded factor, so doubling from WarmPhi/16 brackets it in a
-	// handful of F(φ) evaluations instead of growing from 1e-12. Zero
-	// reproduces the paper's cold start exactly.
+	// handful of F(φ) evaluations. The doubling never starts below the
+	// idle-cost floor min_i MC_i(0), under which F(φ) = 0, so it only
+	// helps when WarmPhi/16 is above that floor. Zero is the cold start:
+	// from the floor by default, and from the paper's 1e-12 under
+	// PureBisection.
 	WarmPhi float64
-	// PureBisection disables the Newton-accelerated inner solver and
-	// runs the paper's literal Fig. 2 bisection (FindRateLimited) for
-	// every inner solve. Slower by several ×; it is the oracle path the
-	// Newton solver is verified against (TestNewtonMatchesBisection) and
-	// the faithful transcription for paper-fidelity ablations.
+	// PureBisection runs the paper's literal Figs. 2–3: the Fig. 2
+	// bisection (FindRateLimited) for every inner solve, and midpoint
+	// steps from the 1e-12 cold start for the outer search, instead of
+	// the bracketed Newton inner solve and the ITP outer steps from the
+	// idle-cost floor. Slower by more than an order of magnitude; it is the oracle the
+	// default path is verified against (TestNewtonMatchesBisection,
+	// TestDefaultMatchesPureBisection) and the faithful transcription
+	// for paper-fidelity ablations.
 	PureBisection bool
 	// Sparse enables the fleet-scale solve path: stations with an
 	// identical (size, speed, special-rate) signature are clustered
@@ -119,6 +128,8 @@ type Result struct {
 	// classes the sparse path clustered the fleet into; 0 on the dense
 	// path.
 	Classes int
+
+	probes int // F(φ) evaluations of the outer search (tests pin the budget)
 }
 
 // Optimize solves the paper's optimal load distribution problem: given
@@ -126,10 +137,11 @@ type Result struct {
 // rates λ′_i minimizing the average generic response time T′ subject to
 // Σλ′_i = λ′ and ρ_i < 1.
 //
-// It is a faithful implementation of the algorithm in Fig. 3 of the
-// paper: the Lagrange multiplier φ is first grown by doubling until the
-// induced total rate F(φ) reaches λ′ (lines 1–10), then located by
-// bisection (lines 11–27), after which the per-server rates and T′ are
+// It follows the algorithm in Fig. 3 of the paper: the Lagrange
+// multiplier φ is first grown by doubling until the induced total rate
+// F(φ) reaches λ′ (lines 1–10), then located in the resulting bracket
+// (lines 11–27; ITP steps by default, the paper's bisection under
+// Options.PureBisection), after which the per-server rates and T′ are
 // evaluated (lines 28–37).
 func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
@@ -220,67 +232,22 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 				scratch[i] = solveOne(i, phi)
 			}
 		}
-		var sum numeric.KahanSum
-		for _, r := range scratch {
-			sum.Add(r)
-		}
-		return sum.Value()
+		return kahanTotal(scratch)
 	}
 
-	// Run the outer Fig. 3 search (doubling then bisection over φ). The
-	// driver caches the last evaluation at each end of the bracket, so
-	// the segment repair below no longer re-solves the whole fleet at
-	// lb and ub. A warm start from a previous solve shortcuts the
-	// doubling; F(tiny φ) = 0 because every idle marginal cost
-	// T′_i(0)/λ′ is positive.
+	// Run the outer Fig. 3 search; it also performs the segment repair
+	// and the conservation projection.
 	sol, err := searchPhi(phiEvaluator{
-		eval: ratesAt,
-		copyRates: func(dst []float64) []float64 {
-			if dst == nil {
-				dst = make([]float64, len(scratch))
-			}
-			copy(dst, scratch)
-			return dst
-		},
-	}, lambda, outerStart(opts), eps, !opts.NoRescale)
+		eval:     ratesAt,
+		scratch:  scratch,
+		total:    kahanTotal,
+		feasible: g.Feasible,
+		floor:    idleFloor(solvers),
+	}, lambda, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	phi := sol.Phi
-
-	// F can be (numerically) discontinuous at the optimal φ: a large,
-	// lightly loaded server has an almost *flat* marginal cost
-	// ≈ x̄_i/λ′ over a wide rate range (queueing is negligible until
-	// its utilization grows), so as φ crosses that plateau the induced
-	// rate — and F — jumps. The optimizing set at the jump is the whole
-	// segment between the two sides, every point of which satisfies the
-	// KKT conditions; pick the point on the segment meeting the
-	// conservation constraint exactly.
-	rates, f := sol.Rates, sol.F
-	if !opts.NoRescale {
-		if sol.FHi > sol.FLo && sol.FLo <= lambda && lambda <= sol.FHi {
-			t := (lambda - sol.FLo) / (sol.FHi - sol.FLo)
-			var sum numeric.KahanSum
-			for i := range rates {
-				rates[i] = sol.RatesLo[i] + t*(sol.RatesHi[i]-sol.RatesLo[i])
-				sum.Add(rates[i])
-			}
-			f = sum.Value()
-		}
-		// Remove the remaining float dust with an exact projection;
-		// the factor is 1 ± O(ε) and cannot de-stabilize a server.
-		if f > 0 {
-			scale := lambda / f
-			for i := range rates {
-				rates[i] *= scale
-			}
-			if err := g.Feasible(rates); err != nil {
-				for i := range rates {
-					rates[i] /= scale
-				}
-			}
-		}
-	}
+	rates, phi := sol.Rates, sol.Phi
 
 	res := &Result{
 		Rates:           rates,
@@ -290,8 +257,32 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 		ResponseTimes:   g.ResponseTimes(opts.Discipline, rates),
 		Discipline:      opts.Discipline,
 		TotalRate:       lambda,
+		probes:          sol.probes,
 	}
 	return res, nil
+}
+
+// kahanTotal is F for a station-indexed rate vector: the compensated
+// sum in station order.
+func kahanTotal(rates []float64) float64 {
+	var sum numeric.KahanSum
+	for _, r := range rates {
+		sum.Add(r)
+	}
+	return sum.Value()
+}
+
+// idleFloor returns min_i MC_i(0) over the stations with generic
+// headroom: below it every inner solve returns exactly zero.
+func idleFloor(solvers []stationSolver) float64 {
+	floor := math.Inf(1)
+	for i := range solvers {
+		if solvers[i].maxRate > 0 {
+			mc, _ := solvers[i].costDeriv(0)
+			floor = math.Min(floor, mc)
+		}
+	}
+	return floor
 }
 
 // FindRate implements the paper's Fig. 2 algorithm Find_λ′_i: the

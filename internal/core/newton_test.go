@@ -104,6 +104,38 @@ func TestNewtonWarmStartConsistency(t *testing.T) {
 	}
 }
 
+// TestNewtonClosesOneSidedBracket is the regression test for the inner
+// solve's exit. From a cold start at the bracket midpoint, the paper's
+// smallest station (m = 2) lies far above its root at the Table 1/2
+// multiplier, and its marginal cost is convex, so every Newton iterate
+// stays above the root and only the upper bracket end ever moves. Newton converges in a handful of steps; the solve must
+// then close the bracket with one probe below the root instead of
+// bisecting the rest of it down to tol (about 45 kernel evaluations).
+func TestNewtonClosesOneSidedBracket(t *testing.T) {
+	const budget = 12 // includes the MC(0) and MC(cap) checks
+	g := model.LiExample1Group()
+	s := g.Servers[0]
+	lambda := 0.5 * g.MaxGenericRate()
+	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
+		res, err := Optimize(g, lambda, Options{Discipline: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := newStationSolver(s, g.TaskSize, lambda, d, 0, 1)
+		if root := res.Rates[0]; !(ss.capRate/2 > 1.5*root) {
+			t.Fatalf("%v: root %g is not well below the cold start %g", d, root, ss.capRate/2)
+		}
+		got := ss.findRate(res.Phi)
+		if ss.evals > budget {
+			t.Errorf("%v: %d kernel evaluations, budget %d", d, ss.evals, budget)
+		}
+		want := FindRateLimited(s, g.TaskSize, lambda, res.Phi, d, 0, 1)
+		if diff := math.Abs(got - want); diff > 2*ss.tol {
+			t.Errorf("%v: rate %.15g, bisection %.15g (diff %g, tol %g)", d, got, want, diff, ss.tol)
+		}
+	}
+}
+
 // FuzzNewtonInnerSolve fuzzes the single-station inner solve: whatever
 // (m, speed, special load, φ) the fuzzer invents, the Newton findRate
 // and the paper's Fig. 2 bisection (FindRateLimited) must land within

@@ -30,7 +30,7 @@ import (
 //     doubling raises φ the active prefix only grows.
 //
 // F(φ) is totalled in station order with the same compensated
-// summation as the dense path, so the outer bisection takes the
+// summation as the dense path, so the outer search takes the
 // bit-identical φ trajectory and the whole solve is bit-identical to
 // Optimize without Sparse (pinned by TestSparseMatchesDenseBitIdentical).
 
@@ -324,44 +324,23 @@ func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 // the utilization-cap headroom check already ran in Optimize.
 func optimizeSparse(g *model.Group, lambda float64, opts Options, eps, rhoCap float64) (*Result, error) {
 	fleet := newSparseFleet(g, lambda, opts, eps, rhoCap)
-	sol, err := searchPhi(phiEvaluator{
-		eval: fleet.ratesAt,
-		copyRates: func(dst []float64) []float64 {
-			if dst == nil {
-				dst = make([]float64, len(fleet.scratch))
-			}
-			copy(dst, fleet.scratch)
-			return dst
-		},
-	}, lambda, outerStart(opts), eps, !opts.NoRescale)
+	sol, err := searchPhi(fleet.evaluator(), lambda, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	classRates, f := sol.Rates, sol.F
-	if !opts.NoRescale {
-		// Segment repair at a (numerically) discontinuous F — see the
-		// dense path for the full argument. Interpolation is per class;
-		// the re-total runs in station order to stay bit-identical.
-		if sol.FHi > sol.FLo && sol.FLo <= lambda && lambda <= sol.FHi {
-			t := (lambda - sol.FLo) / (sol.FHi - sol.FLo)
-			for c := range classRates {
-				classRates[c] = sol.RatesLo[c] + t*(sol.RatesHi[c]-sol.RatesLo[c])
-			}
-			f = fleet.totalOf(classRates)
-		}
-		// Remove the remaining float dust with an exact projection;
-		// the factor is 1 ± O(ε) and cannot de-stabilize a station.
-		if f > 0 {
-			scale := lambda / f
-			for c := range classRates {
-				classRates[c] *= scale
-			}
-			if err := fleet.feasible(classRates); err != nil {
-				for c := range classRates {
-					classRates[c] /= scale
-				}
-			}
-		}
+	res := fleet.result(sol.Rates, sol.Phi)
+	res.probes = sol.probes
+	return res, nil
+}
+
+// evaluator hands the class-indexed problem to the outer search. The
+// classes are sorted by MC(0), so the first one's is the floor.
+func (sf *sparseFleet) evaluator() phiEvaluator {
+	return phiEvaluator{
+		eval:     sf.ratesAt,
+		scratch:  sf.scratch,
+		total:    sf.totalOf,
+		feasible: sf.feasible,
+		floor:    sf.classes[0].mc0,
 	}
-	return fleet.result(classRates, sol.Phi), nil
 }
