@@ -199,21 +199,7 @@ func Run(cfg Config) (*RunResult, error) {
 	n := g.N()
 	cal := newCalendar()
 
-	// One backing array for all stations, with the in-service tracking
-	// slice pre-sized to the blade count — a station can never hold more
-	// than m tasks in service, so start() never grows it.
-	backing := make([]station, n)
-	stations := make([]*station, n)
-	for i, s := range g.Servers {
-		backing[i] = station{
-			index:      i,
-			blades:     s.Size,
-			speed:      s.Speed,
-			discipline: cfg.Discipline,
-			active:     make([]serviceRec, 0, s.Size),
-		}
-		stations[i] = &backing[i]
-	}
+	stations := newStations(g, cfg.Discipline)
 	// Failure transitions are known upfront; schedule them first so
 	// that, on time ties, the state change precedes arrivals.
 	for i, sch := range scheds {
@@ -221,12 +207,12 @@ func Run(cfg Config) (*RunResult, error) {
 			if tr.Time > cfg.Horizon {
 				break
 			}
-			cal.schedule(event{time: tr.Time, kind: evFailure, station: i, down: tr.Down})
+			cal.schedule(event{time: tr.Time, kind: evFailure, station: int32(i), arg: uint64(tr.Down)})
 		}
 	}
 	for i, s := range g.Servers {
 		if s.SpecialRate > 0 {
-			cal.schedule(event{time: rng.ExpFloat64() / s.SpecialRate, kind: evSpecialArrival, station: i})
+			cal.schedule(event{time: rng.ExpFloat64() / s.SpecialRate, kind: evSpecialArrival, station: int32(i)})
 		}
 	}
 	if cfg.GenericRate > 0 {
@@ -255,21 +241,8 @@ func Run(cfg Config) (*RunResult, error) {
 		}
 		res.GenericHistogram = h
 	}
-	views := make([]StationView, n)
-	refreshViews := func() {
-		for i, st := range stations {
-			views[i] = StationView{
-				Index:           i,
-				Blades:          st.blades,
-				Speed:           st.speed,
-				ServiceMean:     g.TaskSize / st.speed,
-				Busy:            st.busy,
-				QueueLen:        st.queueLen(),
-				AvailableBlades: st.available(),
-				Up:              st.available() > 0,
-			}
-		}
-	}
+	views := newViews(stations, g.TaskSize)
+	var retries retrySlab
 	fullyDown := 0 // stations with zero available blades
 
 	// dispatchGeneric routes t through the dispatcher and places it. A
@@ -280,7 +253,7 @@ func Run(cfg Config) (*RunResult, error) {
 	// re-dispatch after a capped exponential backoff and give up (lost)
 	// after MaxAttempts. A full bounded waiting room always drops.
 	dispatchGeneric := func(t task, now float64, attempt int) error {
-		refreshViews()
+		refreshViews(views, stations)
 		target := cfg.Dispatcher.Pick(views, rng)
 		if target < 0 || target >= n {
 			return fmt.Errorf("sim: dispatcher %q picked invalid station %d", cfg.Dispatcher.Name(), target)
@@ -294,7 +267,7 @@ func Run(cfg Config) (*RunResult, error) {
 					if now >= cfg.Warmup {
 						res.RetriedGeneric++
 					}
-					cal.schedule(event{time: now + cfg.Retry.delay(attempt), kind: evRetry, task: t, attempt: attempt + 1})
+					cal.schedule(event{time: now + cfg.Retry.delay(attempt), kind: evRetry, arg: retries.put(t, attempt+1)})
 					return nil
 				}
 				if now >= cfg.Warmup {
@@ -336,7 +309,8 @@ func Run(cfg Config) (*RunResult, error) {
 			}
 
 		case evRetry:
-			if err := dispatchGeneric(ev.task, now, ev.attempt); err != nil {
+			t, attempt := retries.take(ev.arg)
+			if err := dispatchGeneric(t, now, attempt); err != nil {
 				return nil, err
 			}
 
@@ -362,7 +336,7 @@ func Run(cfg Config) (*RunResult, error) {
 		case evFailure:
 			st := stations[ev.station]
 			wasFull := st.available() == 0
-			out := st.setDown(ev.down, now, cal, cfg.FailurePolicy == DropInFlight)
+			out := st.setDown(int(ev.arg), now, cal, cfg.FailurePolicy == DropInFlight)
 			if now >= cfg.Warmup {
 				res.RequeuedGeneric += int64(out.requeuedGeneric)
 				res.RequeuedSpecial += int64(out.requeuedSpecial)
@@ -379,15 +353,16 @@ func Run(cfg Config) (*RunResult, error) {
 
 		case evDeparture:
 			st := stations[ev.station]
-			if !st.depart(now, cal, ev.id) {
+			t, ok := st.depart(now, cal, ev.arg)
+			if !ok {
 				continue // stale: task was evicted by a failure
 			}
-			if ev.task.arrival >= cfg.Warmup {
-				resp := now - ev.task.arrival
-				if ev.task.class == Generic {
+			if t.arrival >= cfg.Warmup {
+				resp := now - t.arrival
+				if t.class == Generic {
 					res.GenericResponse.Add(resp)
 					res.PerStationGeneric[ev.station].Add(resp)
-					if ev.task.degraded {
+					if t.degraded {
 						res.GenericDegraded.Add(resp)
 					} else {
 						res.GenericHealthy.Add(resp)

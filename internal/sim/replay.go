@@ -68,10 +68,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cal := newCalendar()
 	g := cfg.Group
-	stations := make([]*station, n)
-	for i, s := range g.Servers {
-		stations[i] = &station{index: i, blades: s.Size, speed: s.Speed, discipline: cfg.Discipline}
-	}
+	stations := newStations(g, cfg.Discipline)
 	res := &RunResult{
 		PerStationGeneric: make([]metrics.Welford, n),
 		Utilizations:      make([]float64, n),
@@ -80,7 +77,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	views := make([]StationView, n)
+	views := newViews(stations, g.TaskSize)
 
 	next := 0 // index into trace arrivals
 	arrivals := cfg.Trace.Arrivals
@@ -105,14 +102,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 		target := a.Station
 		if a.IsGeneric() {
 			t.class = Generic
-			for i, st := range stations {
-				views[i] = StationView{
-					Index: i, Blades: st.blades, Speed: st.speed,
-					ServiceMean: g.TaskSize / st.speed,
-					Busy:        st.busy, QueueLen: st.queueLen(),
-					AvailableBlades: st.available(), Up: true,
-				}
-			}
+			refreshViews(views, stations)
 			target = cfg.Dispatcher.Pick(views, rng)
 			if target < 0 || target >= n {
 				return nil, fmt.Errorf("sim: dispatcher %q picked invalid station %d", cfg.Dispatcher.Name(), target)
@@ -139,13 +129,13 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 // handleDeparture processes one departure event and records statistics
 // for post-warmup tasks that finish within the horizon.
 func handleDeparture(ev event, stations []*station, cal *calendar, res *RunResult, p95 *metrics.P2Quantile, warmup float64) {
-	st := stations[ev.station]
-	if !st.depart(ev.time, cal, ev.id) {
+	t, ok := stations[ev.station].depart(ev.time, cal, ev.arg)
+	if !ok {
 		return // stale event (only possible with failure injection)
 	}
-	if ev.task.arrival >= warmup {
-		resp := ev.time - ev.task.arrival
-		if ev.task.class == Generic {
+	if t.arrival >= warmup {
+		resp := ev.time - t.arrival
+		if t.class == Generic {
 			res.GenericResponse.Add(resp)
 			res.PerStationGeneric[ev.station].Add(resp)
 			p95.Add(resp)

@@ -1,10 +1,15 @@
 package sim
 
-import "repro/internal/queueing"
+import (
+	"repro/internal/model"
+	"repro/internal/queueing"
+)
 
-// serviceRec tracks one in-service task so that a blade failure can
-// cancel its scheduled departure: the departure event carries the same
-// id, and an event whose id is no longer in the active set is stale.
+// serviceRec tracks one in-service task. The departure event carries
+// only the id, so this record is where the task lives until it
+// completes; a blade failure cancels the departure by removing the
+// record, and an event whose id is no longer in the active set is
+// stale.
 type serviceRec struct {
 	id     uint64
 	task   task
@@ -36,6 +41,55 @@ type station struct {
 	fullDown     bool
 }
 
+// newStations builds the runtime state of every server of g, backed by
+// one array, with each in-service set pre-sized to the blade count — a
+// station never holds more than m tasks in service, so start never
+// grows it.
+func newStations(g *model.Group, d queueing.Discipline) []*station {
+	backing := make([]station, g.N())
+	stations := make([]*station, g.N())
+	for i, s := range g.Servers {
+		backing[i] = station{
+			index:      i,
+			blades:     s.Size,
+			speed:      s.Speed,
+			discipline: d,
+			active:     make([]serviceRec, 0, s.Size),
+		}
+		stations[i] = &backing[i]
+	}
+	return stations
+}
+
+// newViews returns the dispatcher views of stations with the fields
+// that never change during a run filled in; refreshViews fills the
+// rest before each pick.
+func newViews(stations []*station, taskSize float64) []StationView {
+	views := make([]StationView, len(stations))
+	for i, st := range stations {
+		views[i] = StationView{
+			Index:       i,
+			Blades:      st.blades,
+			Speed:       st.speed,
+			ServiceMean: taskSize / st.speed,
+		}
+	}
+	return views
+}
+
+// refreshViews writes the dynamic state of each station into its view.
+// Dispatchers only read their views, so the static fields newViews
+// filled stay valid for the whole run.
+func refreshViews(views []StationView, stations []*station) {
+	for i, st := range stations {
+		v := &views[i]
+		v.Busy = st.busy
+		v.QueueLen = st.queueLen()
+		v.AvailableBlades = st.available()
+		v.Up = v.AvailableBlades > 0
+	}
+}
+
 // available returns the number of non-failed blades.
 func (s *station) available() int {
 	if s.down >= s.blades {
@@ -60,7 +114,7 @@ func (s *station) start(t task, now float64, cal *calendar) {
 	s.nextID++
 	rec := serviceRec{id: s.nextID, task: t, depart: now + t.req/s.speed}
 	s.active = append(s.active, rec)
-	cal.schedule(event{time: rec.depart, kind: evDeparture, station: s.index, task: t, id: rec.id})
+	cal.schedule(event{time: rec.depart, kind: evDeparture, station: int32(s.index), arg: rec.id})
 }
 
 // fill starts waiting tasks while free blades remain (specials first
@@ -94,21 +148,22 @@ func (s *station) admit(t task, now float64, cal *calendar) {
 	s.generics.push(t)
 }
 
-// depart handles a service completion at time now. It returns false for
-// a stale event — a departure whose task was cancelled by an earlier
-// blade failure — in which case no state changes and no statistics
-// should be recorded.
-func (s *station) depart(now float64, cal *calendar, id uint64) bool {
+// depart handles a service completion at time now and returns the
+// finished task. It returns false for a stale event — a departure whose
+// task was cancelled by an earlier blade failure — in which case no
+// state changes and no statistics should be recorded.
+func (s *station) depart(now float64, cal *calendar, id uint64) (task, bool) {
 	i := s.findActive(id)
 	if i < 0 {
-		return false
+		return task{}, false
 	}
+	t := s.active[i].task
 	s.active[i] = s.active[len(s.active)-1]
 	s.active = s.active[:len(s.active)-1]
 	s.accrue(now)
 	s.busy--
 	s.fill(now, cal)
-	return true
+	return t, true
 }
 
 func (s *station) findActive(id uint64) int {
