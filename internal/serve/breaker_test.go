@@ -119,6 +119,23 @@ func TestBreakerPhiTripsOnSilence(t *testing.T) {
 	}
 }
 
+func TestBreakerPhiIgnoresPauseAfterBurst(t *testing.T) {
+	clk := newFakeClock()
+	s := newBreakerTestServer(t, clk, nil)
+
+	// Concurrent callers complete in bursts microseconds apart; one
+	// 10ms scheduler pause afterwards is not silence.
+	for i := 0; i < 100; i++ {
+		clk.Advance(3 * time.Microsecond)
+		s.recordOutcome(1, OutcomeSuccess, 0.001)
+	}
+	clk.Advance(10 * time.Millisecond)
+	s.healthScan(clk.Now())
+	if got := s.breakers.stations[1].state.Load(); got != breakerClosed {
+		t.Fatalf("a 10ms pause after a burst tripped the breaker: %s", breakerStateNames[got])
+	}
+}
+
 func TestBreakerRecoversThroughTrialAndRampsIn(t *testing.T) {
 	clk := newFakeClock()
 	s := newBreakerTestServer(t, clk, nil)

@@ -35,6 +35,15 @@ const (
 	ewmaLatAlpha = 0.1
 )
 
+// minGapMean floors the completion-gap mean, in seconds, that
+// suspicion divides by. Concurrent callers report completions in
+// bursts microseconds apart, so the EWMA gap mean can sit far below
+// the pauses any goroutine sees on a loaded host: the Go scheduler
+// preempts after 10ms and an OS time slice is of the same order.
+// Without the floor one such pause after a burst reads as hundreds of
+// missed completions; with it, a 10ms pause scores about log₁₀e.
+const minGapMean = 0.010
+
 // log10E converts a natural-units ratio into the base-10 logarithm the
 // phi-accrual literature quotes thresholds in (Hayashibara et al.).
 const log10E = 0.4342944819032518
@@ -149,8 +158,10 @@ func (t *outcomeTracker) latencyMean(station int) float64 {
 // φ = −log₁₀ P(gap > silence) = log₁₀e · silence/mean. A station that
 // has been silent for k mean gaps scores ≈ 0.43·k; thresholds of 8–16
 // therefore demand tens of missed completions, which makes the score
-// robust to ordinary jitter. Zero until the station has completed
-// work and established a gap mean.
+// robust to ordinary jitter. The mean is floored at minGapMean, so
+// bursty completion streams do not turn a scheduler pause into a
+// trip. Zero until the station has completed work and established a
+// gap mean.
 func (t *outcomeTracker) suspicion(station int, nowNanos int64) float64 {
 	e := &t.ewma[station]
 	last := e.lastDone.Load()
@@ -161,7 +172,7 @@ func (t *outcomeTracker) suspicion(station int, nowNanos int64) float64 {
 	if !(mean > 0) {
 		return 0
 	}
-	return log10E * (float64(nowNanos-last) / 1e9) / mean
+	return log10E * (float64(nowNanos-last) / 1e9) / math.Max(mean, minGapMean)
 }
 
 // resetError clears the EWMA error rate — called when a breaker closes

@@ -111,6 +111,30 @@ func TestSuspicionMeasuresSilence(t *testing.T) {
 	}
 }
 
+// TestSuspicionToleratesBurstThenPause feeds the completion shape of
+// concurrent callers — a burst a few microseconds apart — and then one
+// scheduler-sized 10ms pause. The pause must score about one floored
+// mean gap, not the thousand-odd raw gaps it spans, while a real
+// outage still scores far above the default threshold.
+func TestSuspicionToleratesBurstThenPause(t *testing.T) {
+	var cfg BreakerConfig
+	cfg.withDefaults()
+	tr := newOutcomeTracker(1, 1)
+	burstGap := int64(3 * time.Microsecond)
+	at := time.Unix(1_700_000_000, 0).UnixNano()
+	for i := 0; i < 100; i++ {
+		tr.record(0, OutcomeSuccess, at, 0.001, 0)
+		at += burstGap
+	}
+	last := at - burstGap
+	if got := tr.suspicion(0, last+int64(10*time.Millisecond)); got > 1.01*log10E {
+		t.Fatalf("suspicion after a 10ms pause %g, want ≈%g (threshold %g)", got, log10E, cfg.PhiThreshold)
+	}
+	if got := tr.suspicion(0, last+int64(4*time.Second)); got < 10*cfg.PhiThreshold {
+		t.Fatalf("suspicion after 4s of silence %g, want ≥ %g", got, 10*cfg.PhiThreshold)
+	}
+}
+
 func TestEwmaUpdateSeedSemantics(t *testing.T) {
 	var a atomic.Uint64
 	ewmaUpdate(&a, 4.0, 0.5, true)
